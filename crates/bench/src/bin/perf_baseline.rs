@@ -37,8 +37,8 @@
 //! It also compares the parallel-grid `speedup_vs_serial` against the
 //! baseline's, but — since the artifact records `cores_available` — the
 //! comparison is skipped with a notice when either box had fewer than 2
-//! cores: on one core the 0.92× "speedup" is shard-scheduling overhead,
-//! not an engine regression.
+//! cores: on one core the 0.92× "speedup" is the cost of batch strands
+//! taking turns on that core, not an engine regression.
 //!
 //! `--gate-parallel` enforces the batch-runner scaling contract: on a
 //! machine with at least 4 cores, `grid_parallel` must beat `grid` by
@@ -49,7 +49,7 @@
 //! `--append-history` appends one dated JSONL row to
 //! `BENCH_history.jsonl` — the bench trajectory: grid and quick-grid
 //! wall-clocks plus the headline number of each merged section
-//! (`farm_scale` sharded throughput, `sharing` high-skew capacity
+//! (`farm_scale` throughput, `sharing` high-skew capacity
 //! ratio, `distributed` widest-split outage retention, `crash` recovery
 //! and scrub-interference percentages). Sections another bin has not
 //! merged yet are skipped with a notice. Quick runs never append (the
@@ -438,7 +438,7 @@ fn check_parallel_against(path: &str, probe: &BaselineProbe, report: &BenchRepor
     let speedup = report.grid_parallel.speedup_vs_serial.unwrap_or(1.0);
     if report.cores_available < 2 {
         eprintln!(
-            "check-against: {} core(s) available; parallel comparison skipped (speedup {speedup:.2}x on one core measures shard overhead, not engine speed)",
+            "check-against: {} core(s) available; parallel comparison skipped (speedup {speedup:.2}x on one core measures strand-switching overhead, not engine speed)",
             report.cores_available
         );
         return true;
@@ -567,16 +567,14 @@ fn append_history(report: &BenchReport, merged: &serde_json::Value) {
             ),
         }
     }
-    // farm_scale headline: sharded at-scale throughput (100k-disk cell).
-    match section_field(merged, "farm_scale", "sharded") {
-        Some(serde_json::Value::Map(fs)) => match serde::field(&fs, "ticks_per_sec") {
-            Some(v) => row.push(("farm_scale_ticks_per_sec".into(), v.clone())),
-            None => eprintln!("append-history: `farm_scale.sharded` has no ticks_per_sec"),
-        },
-        _ => eprintln!(
-            "append-history: no `farm_scale` section in the baseline; run farm_scale to record `farm_scale_ticks_per_sec`"
-        ),
-    }
+    // farm_scale headline: at-scale throughput (100k-disk cell).
+    take(
+        &mut row,
+        merged,
+        "farm_scale_ticks_per_sec",
+        "farm_scale",
+        "ticks_per_sec",
+    );
     take(
         &mut row,
         merged,

@@ -23,6 +23,8 @@
 //! This library hosts the small amount of shared harness code (CLI
 //! parsing and output handling) the binaries use.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::PathBuf;
 

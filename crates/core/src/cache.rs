@@ -10,9 +10,7 @@
 //! **deterministic**: popularity-tagged LFU where the victim is the
 //! resident object with the smallest `(frequency, salt, id)` key. The
 //! salts come from a seeded SplitMix64 stream, so ties between
-//! equally-popular objects break identically across runs (and across
-//! the serial and sharded engines, which never touch the cache from
-//! worker threads).
+//! equally-popular objects break identically across runs.
 
 use crate::buffers::BufferTracker;
 use ss_types::Bytes;

@@ -11,7 +11,7 @@
 //! strictly write-only from the simulation's point of view.
 //!
 //! Installation is **per thread**: the experiment runner executes grid
-//! cells on a pool of worker threads, and a thread-local sink means
+//! cells on several threads at once, and a thread-local sink means
 //! concurrent runs can never interleave their journals. A typical
 //! session:
 //!

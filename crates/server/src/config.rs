@@ -436,15 +436,6 @@ pub struct ServerConfig {
     /// down until their scheduled repair, byte-for-byte the PR 3 behavior.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rebuild: Option<RebuildConfig>,
-    /// Shard the tick kernel's read-only scans (admission probes, the
-    /// free-horizon index sort, wakeup-horizon reductions) across this
-    /// many strands on the shared worker pool. `None` (the default) runs
-    /// fully serial; any value produces a byte-identical `RunReport` —
-    /// shards only compute verdicts that the serial drain loop then
-    /// consumes in its fixed order (the parallel-equivalence sweep
-    /// enforces this).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub parallel_shards: Option<u32>,
     /// Stream sharing (multicast batching + prefix caching). `None` (the
     /// default) keeps one private stream per viewer, byte-for-byte the
     /// unshared behavior.
@@ -496,7 +487,6 @@ impl ServerConfig {
             faults: FaultPlan::none(),
             parity: None,
             rebuild: None,
-            parallel_shards: None,
             sharing: None,
             distributed: None,
             scrub: None,
@@ -712,9 +702,6 @@ impl ServerConfig {
             if r.spares == 0 {
                 return bad("rebuild needs at least one spare".into());
             }
-        }
-        if self.parallel_shards == Some(0) {
-            return bad("parallel_shards must be >= 1 (or omitted for serial)".into());
         }
         if let Some(s) = &self.scrub {
             if s.fragments_per_interval == 0 {

@@ -24,12 +24,12 @@ pub const TABLE4_STATIONS: [u32; 4] = [16, 64, 128, 256];
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct BatchStats {
     /// Strands that actually drained the claim queue: the calling thread
-    /// plus the pool workers lent to this batch.
+    /// plus the scoped threads spawned for this batch.
     pub threads_used: usize,
 }
 
-/// Runs a batch of configurations across `threads` strands of the
-/// shared [`ss_sim::WorkerPool`], preserving input order in the output.
+/// Runs a batch of configurations across `threads` strands, preserving
+/// input order in the output.
 /// See [`run_batch_stats`] for the variant that also reports how the
 /// batch executed.
 ///
@@ -46,15 +46,15 @@ pub fn run_batch(configs: Vec<ServerConfig>, threads: usize) -> Vec<RunReport> {
 /// [`run_batch`] plus execution stats (the true strand count, for the
 /// perf baseline's thread-count reporting).
 ///
-/// Execution model: `threads == 1` (or a single job) runs every job
-/// inline on the caller — no queue, no pool, no spawn, which is why a
-/// 1-thread batch is never slower than a bare serial loop. Otherwise the
-/// jobs are claimed lock-free through a single atomic cursor by
-/// `threads` strands — the calling thread plus `threads - 1` reused pool
-/// workers (grown once, process-wide; repeated batches never pay
-/// spawn/join again). Each strand keeps `(index, report)` pairs local,
-/// and the results are scattered into their input slots afterwards, so
-/// no mutex guards either the queue or the result vector.
+/// Execution model: the jobs are claimed lock-free through a single
+/// atomic cursor by `threads` strands — the calling thread plus
+/// `threads - 1` scoped threads, joined before the call returns. One
+/// spawn per strand per batch is noise next to a whole simulation run,
+/// and `threads == 1` (or a single job) spawns nothing: every job runs
+/// inline on the caller. Each strand keeps `(index, report)` pairs
+/// local, and the results are scattered into their input slots
+/// afterwards, so no mutex guards either the queue or the result
+/// vector.
 ///
 /// Jobs are claimed longest-estimated-first (stations × measured
 /// duration as the cost proxy) so a grid's heavyweight cells start
@@ -81,30 +81,21 @@ pub fn run_batch_stats(configs: Vec<ServerConfig>, threads: usize) -> (Vec<RunRe
         (idx, outcome)
     };
     let mut per_strand: Vec<Vec<(usize, Result<RunReport, String>)>> = vec![Vec::new(); strands];
-    if strands == 1 {
-        per_strand[0].extend(order.iter().map(|&idx| run_job(idx)));
-    } else {
-        let pool = ss_sim::WorkerPool::global();
-        pool.ensure_workers(strands - 1);
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let order = &order;
-        let run_job = &run_job;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = per_strand
-            .iter_mut()
-            .map(|local| {
-                let f: Box<dyn FnOnce() + Send + '_> = Box::new(move || loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= n {
-                        break;
-                    }
-                    local.push(run_job(order[slot]));
-                });
-                f
-            })
-            .collect();
-        pool.scoped_run(tasks);
-    }
+    let cursor = AtomicUsize::new(0);
+    let drain = |local: &mut Vec<(usize, Result<RunReport, String>)>| loop {
+        let slot = cursor.fetch_add(1, Ordering::Relaxed);
+        if slot >= n {
+            break;
+        }
+        local.push(run_job(order[slot]));
+    };
+    let (own, spawned) = per_strand.split_first_mut().expect("strands >= 1");
+    std::thread::scope(|scope| {
+        for local in spawned {
+            scope.spawn(|| drain(local));
+        }
+        drain(own);
+    });
     let mut results: Vec<Option<RunReport>> = vec![None; n];
     let mut failures: Vec<(usize, String)> = Vec::new();
     for (idx, outcome) in per_strand.drain(..).flatten() {
@@ -526,28 +517,6 @@ mod tests {
         assert_eq!(s2.threads_used, 2);
         let bytes = |rs: &[RunReport]| serde_json::to_string_pretty(rs).expect("reports serialize");
         assert_eq!(bytes(&one), bytes(&two));
-    }
-
-    #[test]
-    fn batch_runner_reuses_the_global_pool() {
-        // Back-to-back batches must not grow the pool past the asked
-        // strand count: the workers spawned for the first batch serve
-        // the second.
-        let cfgs = vec![
-            ServerConfig::small_test(1, 21),
-            ServerConfig::small_test(1, 22),
-            ServerConfig::small_test(1, 23),
-        ];
-        let pool = ss_sim::WorkerPool::global();
-        run_batch(cfgs.clone(), 3);
-        let after_first = pool.workers();
-        assert!(after_first >= 2, "3-strand batch needs >= 2 pool workers");
-        run_batch(cfgs, 3);
-        assert_eq!(
-            pool.workers(),
-            after_first,
-            "second batch must reuse, not respawn"
-        );
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //! * [`experiment`] — parameter sweeps that regenerate Figure 8 and
 //!   Table 4 (and the ablations), with CSV/JSON emission and a
 //!   multi-threaded runner.
-//! * [`shard`] — intra-run sharding of the tick kernel's read-only scans
-//!   (admission probes, index sorts, wakeup reductions) with
-//!   byte-identical output, armed by `parallel_shards`.
 //! * [`router`] — the distributed tier's front-end admission router:
 //!   home-node selection (least-loaded / locality-affinity) over the
 //!   node topology, armed by `distributed`.
@@ -37,7 +34,6 @@ pub mod config;
 pub mod experiment;
 pub mod metrics;
 pub mod router;
-pub mod shard;
 pub mod storage;
 pub mod striping;
 pub mod vdr;

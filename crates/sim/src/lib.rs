@@ -21,20 +21,13 @@
 //! * [`faults`] — deterministic disk fault injection: a seed-driven
 //!   [`faults::FaultPlan`] compiled to a concrete, sorted
 //!   [`faults::FaultTimeline`] before the run starts.
-//! * [`pool`] — a reused worker pool for the sharded tick kernels and
-//!   the batch experiment runner; determinism is preserved by giving
-//!   every task a dedicated output slot and reducing in fixed order.
 
 #![warn(missing_docs)]
-// Unsafe is denied crate-wide; the single exception is the documented
-// lifetime-erasure in `pool::WorkerPool::scoped_run`, which carries a
-// module-level allow and a safety argument.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod engine;
 pub mod faults;
-pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod trace;
@@ -45,7 +38,6 @@ pub use faults::{
     CrashEvent, CrashFaults, CrashKind, CrashPlanEvent, FaultEvent, FaultKind, FaultPlan,
     FaultTimeline, RebuildWindow, StochasticFaults,
 };
-pub use pool::WorkerPool;
 pub use rng::DeterministicRng;
 pub use stats::{BatchMeans, Counter, Histogram, Tally, TimeWeighted};
 pub use trace::Trace;

@@ -3,8 +3,7 @@
 //! daemon, swept across both schemes.
 //!
 //! * **Determinism** — same seed, same crash plan and scrub rate ⇒
-//!   byte-identical [`RunReport`]s, recoveries and all; the sharded
-//!   engine pins the same bytes as the serial one with the plane armed.
+//!   byte-identical [`RunReport`]s, recoveries and all.
 //! * **Zero-armed gate** — a crash plan that can never fire and no
 //!   scrub config never constructs a plane: every byte of the report is
 //!   identical to a run with no plan at all, and no `crash` section is
@@ -53,9 +52,7 @@ fn render(report: &RunReport) -> String {
 
 /// Every (scheme, arming, seed) cell runs twice under the same seed and
 /// must serialize to the same bytes — crash compilation, cut-point
-/// salts, recovery decisions, scrub chunking and repairs included. The
-/// sharded twin of each cell pins the same bytes as its serial run, so
-/// `parallel_shards` stays byte-invisible with the plane armed.
+/// salts, recovery decisions, scrub chunking and repairs included.
 #[test]
 fn same_seed_crash_runs_are_byte_identical_across_sweep() {
     let mut configs = Vec::new();
@@ -69,8 +66,6 @@ fn same_seed_crash_runs_are_byte_identical_across_sweep() {
                 if arming != "crash" {
                     c.scrub = Some(ScrubConfig::rate(4));
                 }
-                configs.push(c.clone());
-                c.parallel_shards = Some(4);
                 configs.push(c);
             }
         }
@@ -88,17 +83,6 @@ fn same_seed_crash_runs_are_byte_identical_across_sweep() {
             a.seed,
         );
         crash_sections += usize::from(a.crash.is_some());
-    }
-    // Serial/sharded twins are adjacent pairs.
-    for pair in first.chunks(2) {
-        assert_eq!(
-            render(&pair[0]),
-            render(&pair[1]),
-            "parallel_shards changed the bytes of a crash-armed run \
-             ({}, seed {})",
-            pair[0].scheme,
-            pair[0].seed,
-        );
     }
     assert_eq!(
         crash_sections,

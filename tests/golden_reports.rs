@@ -16,7 +16,7 @@
 
 use staggered_striping::prelude::*;
 use staggered_striping::server::config::{ArrivalModel, MediaMix};
-use staggered_striping::server::experiment::{run_batch, small_grid_configs};
+use staggered_striping::server::experiment::{run_batch, run_batch_stats, small_grid_configs};
 
 const GOLDEN_PATH: &str = "tests/golden/run_reports.json";
 
@@ -85,4 +85,22 @@ fn run_batch_thread_count_is_invisible() {
     let seq = run_batch(golden_configs(), 1);
     let par = run_batch(golden_configs(), 4);
     assert_eq!(seq, par, "reports must not depend on --threads");
+}
+
+/// The batch runner at 2 threads returns reports in input order with
+/// bytes identical to the 1-thread batch (the `run_batch` contract the
+/// grid benches lean on).
+#[test]
+fn two_thread_batch_matches_one_thread_batch() {
+    let configs: Vec<ServerConfig> = [(1u32, 50u64), (4, 51), (2, 52), (3, 53)]
+        .into_iter()
+        .map(|(stations, seed)| ServerConfig::small_test(stations, seed))
+        .collect();
+    let one = run_batch(configs.clone(), 1);
+    let (two, stats) = run_batch_stats(configs, 2);
+    assert_eq!(stats.threads_used, 2);
+    let stations: Vec<u32> = two.iter().map(|r| r.stations).collect();
+    assert_eq!(stations, vec![1, 4, 2, 3], "reports must keep input order");
+    let bytes = |rs: &[RunReport]| serde_json::to_string_pretty(rs).expect("reports serialize");
+    assert_eq!(bytes(&one), bytes(&two));
 }

@@ -23,13 +23,12 @@ fn digest(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One pinned row: seed, scheme tag, fault shape, shard count (1 =
-/// serial engine), stream sharing on/off, expected digest.
+/// One pinned row: seed, scheme tag, fault shape, stream sharing
+/// on/off, expected digest.
 struct Row {
     seed: u64,
     scheme: &'static str,
     faults: &'static str,
-    shards: u32,
     sharing: bool,
     /// Node count (1 = `distributed: None`, the single-box server; > 1
     /// arms an even split with a mid-run whole-node outage on node 2).
@@ -43,60 +42,40 @@ struct Row {
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
     // Regenerate with SS_PRINT_DIGESTS=1 when a behavior change is intended.
-    Row { seed: 1, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0xebdf08a488b2edf7 },
-    Row { seed: 1, scheme: "striping", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0xc979ac1ff488f102 },
-    Row { seed: 1, scheme: "vdr", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0x0ebc3a348b69f2dd },
-    Row { seed: 7, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0x7dfb201d09be4520 },
-    Row { seed: 7, scheme: "striping", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0x6fc4757c8a71af1c },
-    Row { seed: 7, scheme: "vdr", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0xd7f6de6a3aed8908 },
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0x343bb3bee60c64f7 },
-    Row { seed: 1994, scheme: "striping", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0x6f017b9f96ce04f9 },
-    Row { seed: 1994, scheme: "vdr", faults: "window", shards: 1, sharing: false, nodes: 1, crash: "none", expect: 0xc710bfb1bdbfa1e2 },
-    // Sharded twins: `parallel_shards` is byte-invisible in the report,
-    // so each row below pins the SAME digest as its serial twin above.
-    // These constants are intentionally duplicates, not regenerated.
-    Row { seed: 1, scheme: "striping", faults: "none", shards: 4, sharing: false, nodes: 1, crash: "none", expect: 0xebdf08a488b2edf7 },
-    Row { seed: 1, scheme: "striping", faults: "window", shards: 4, sharing: false, nodes: 1, crash: "none", expect: 0xc979ac1ff488f102 },
-    Row { seed: 1994, scheme: "striping", faults: "window", shards: 4, sharing: false, nodes: 1, crash: "none", expect: 0x6f017b9f96ce04f9 },
-    Row { seed: 1994, scheme: "vdr", faults: "window", shards: 4, sharing: false, nodes: 1, crash: "none", expect: 0xc710bfb1bdbfa1e2 },
+    Row { seed: 1, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "none", expect: 0xebdf08a488b2edf7 },
+    Row { seed: 1, scheme: "striping", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0xc979ac1ff488f102 },
+    Row { seed: 1, scheme: "vdr", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0x0ebc3a348b69f2dd },
+    Row { seed: 7, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "none", expect: 0x7dfb201d09be4520 },
+    Row { seed: 7, scheme: "striping", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0x6fc4757c8a71af1c },
+    Row { seed: 7, scheme: "vdr", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0xd7f6de6a3aed8908 },
+    Row { seed: 1994, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "none", expect: 0x343bb3bee60c64f7 },
+    Row { seed: 1994, scheme: "striping", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0x6f017b9f96ce04f9 },
+    Row { seed: 1994, scheme: "vdr", faults: "window", sharing: false, nodes: 1, crash: "none", expect: 0xc710bfb1bdbfa1e2 },
     // Stream sharing armed (window 4): the join/cache/catch-up machinery
     // joins the pinned surface — both models, two seeds, with the
     // canonical mid-run failure exercising shared-stream rescue.
-    Row { seed: 1, scheme: "striping", faults: "window", shards: 1, sharing: true, nodes: 1, crash: "none", expect: 0x71b5db59810e9426 },
-    Row { seed: 1, scheme: "vdr", faults: "window", shards: 1, sharing: true, nodes: 1, crash: "none", expect: 0x2d563d4ca48c0c03 },
-    Row { seed: 1994, scheme: "striping", faults: "window", shards: 1, sharing: true, nodes: 1, crash: "none", expect: 0x1ad7221441bd4029 },
-    Row { seed: 1994, scheme: "vdr", faults: "window", shards: 1, sharing: true, nodes: 1, crash: "none", expect: 0xbd69121dbcf7f8d6 },
-    // Sharding stays byte-invisible with sharing on: same digest as the
-    // serial sharing rows above (intentional duplicates).
-    Row { seed: 1994, scheme: "striping", faults: "window", shards: 4, sharing: true, nodes: 1, crash: "none", expect: 0x1ad7221441bd4029 },
-    Row { seed: 1994, scheme: "vdr", faults: "window", shards: 4, sharing: true, nodes: 1, crash: "none", expect: 0xbd69121dbcf7f8d6 },
+    Row { seed: 1, scheme: "striping", faults: "window", sharing: true, nodes: 1, crash: "none", expect: 0x71b5db59810e9426 },
+    Row { seed: 1, scheme: "vdr", faults: "window", sharing: true, nodes: 1, crash: "none", expect: 0x2d563d4ca48c0c03 },
+    Row { seed: 1994, scheme: "striping", faults: "window", sharing: true, nodes: 1, crash: "none", expect: 0x1ad7221441bd4029 },
+    Row { seed: 1994, scheme: "vdr", faults: "window", sharing: true, nodes: 1, crash: "none", expect: 0xbd69121dbcf7f8d6 },
     // Distributed tier: the 20-disk farm split 4 ways with node 2 fully
     // down for the canonical 240-420 s window — router, interconnect
     // ledger, and correlated-fault compilation all join the pinned
     // surface, on both server models and two seeds.
-    Row { seed: 1, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 4, crash: "none", expect: 0x283a8409aa9cf962 },
-    Row { seed: 1, scheme: "vdr", faults: "none", shards: 1, sharing: false, nodes: 4, crash: "none", expect: 0xdcfd85a9548da30a },
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 4, crash: "none", expect: 0x0a1c86780b5cfe73 },
-    Row { seed: 1994, scheme: "vdr", faults: "none", shards: 1, sharing: false, nodes: 4, crash: "none", expect: 0xe0145eb2d28848b2 },
-    // Sharding stays byte-invisible on the distributed farm too: same
-    // digests as the serial multi-node rows above (intentional
-    // duplicates, not regenerated).
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 4, sharing: false, nodes: 4, crash: "none", expect: 0x0a1c86780b5cfe73 },
-    Row { seed: 1994, scheme: "vdr", faults: "none", shards: 4, sharing: false, nodes: 4, crash: "none", expect: 0xe0145eb2d28848b2 },
+    Row { seed: 1, scheme: "striping", faults: "none", sharing: false, nodes: 4, crash: "none", expect: 0x283a8409aa9cf962 },
+    Row { seed: 1, scheme: "vdr", faults: "none", sharing: false, nodes: 4, crash: "none", expect: 0xdcfd85a9548da30a },
+    Row { seed: 1994, scheme: "striping", faults: "none", sharing: false, nodes: 4, crash: "none", expect: 0x0a1c86780b5cfe73 },
+    Row { seed: 1994, scheme: "vdr", faults: "none", sharing: false, nodes: 4, crash: "none", expect: 0xe0145eb2d28848b2 },
     // Crash-consistent storage plane: stochastic power losses + torn
     // writes ("crash"), the scrub daemon at rate 4 ("scrub"), and the
     // full interplay ("both" — latents planted by crashes, found and
     // repaired by the walk) join the pinned surface on both models.
-    Row { seed: 1, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "crash", expect: 0xc6f733b457859ade },
-    Row { seed: 1, scheme: "vdr", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "crash", expect: 0x0260182b82cf9b3f },
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "scrub", expect: 0xf4e849b872326268 },
-    Row { seed: 1994, scheme: "vdr", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "scrub", expect: 0x2d7e7c7a262e02bc },
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "both", expect: 0xfa055a70e6ae7025 },
-    Row { seed: 1994, scheme: "vdr", faults: "none", shards: 1, sharing: false, nodes: 1, crash: "both", expect: 0xb07bc220836dfeb3 },
-    // Sharding stays byte-invisible with the plane armed: same digest
-    // as the serial "both" rows above (intentional duplicates).
-    Row { seed: 1994, scheme: "striping", faults: "none", shards: 4, sharing: false, nodes: 1, crash: "both", expect: 0xfa055a70e6ae7025 },
-    Row { seed: 1994, scheme: "vdr", faults: "none", shards: 4, sharing: false, nodes: 1, crash: "both", expect: 0xb07bc220836dfeb3 },
+    Row { seed: 1, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "crash", expect: 0xc6f733b457859ade },
+    Row { seed: 1, scheme: "vdr", faults: "none", sharing: false, nodes: 1, crash: "crash", expect: 0x0260182b82cf9b3f },
+    Row { seed: 1994, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "scrub", expect: 0xf4e849b872326268 },
+    Row { seed: 1994, scheme: "vdr", faults: "none", sharing: false, nodes: 1, crash: "scrub", expect: 0x2d7e7c7a262e02bc },
+    Row { seed: 1994, scheme: "striping", faults: "none", sharing: false, nodes: 1, crash: "both", expect: 0xfa055a70e6ae7025 },
+    Row { seed: 1994, scheme: "vdr", faults: "none", sharing: false, nodes: 1, crash: "both", expect: 0xb07bc220836dfeb3 },
 ];
 
 /// The tiny run behind a row: 2 stations on the 20-disk test farm with a
@@ -111,9 +90,6 @@ fn config(row: &Row) -> ServerConfig {
     c.measure = SimDuration::from_secs(600);
     if row.faults == "window" {
         c.faults = FaultPlan::fail_window(3, SimTime::from_secs(240), SimTime::from_secs(420));
-    }
-    if row.shards > 1 {
-        c.parallel_shards = Some(row.shards);
     }
     if row.sharing {
         c.sharing = Some(SharingConfig::window(4));
@@ -152,17 +128,16 @@ fn run_report_digests_are_pinned_per_seed() {
         let json = serde_json::to_string_pretty(report).expect("serialize report");
         let got = digest(json.as_bytes());
         table.push_str(&format!(
-            "    Row {{ seed: {}, scheme: \"{}\", faults: \"{}\", shards: {}, sharing: {}, nodes: {}, crash: \"{}\", expect: {:#018x} }},\n",
-            row.seed, row.scheme, row.faults, row.shards, row.sharing, row.nodes, row.crash, got
+            "    Row {{ seed: {}, scheme: \"{}\", faults: \"{}\", sharing: {}, nodes: {}, crash: \"{}\", expect: {:#018x} }},\n",
+            row.seed, row.scheme, row.faults, row.sharing, row.nodes, row.crash, got
         ));
         if got != row.expect {
             diffs.push(format!(
-                "  seed {} / {} / faults={} / shards={} / nodes={}: digest {:#018x} != pinned {:#018x} \
+                "  seed {} / {} / faults={} / nodes={}: digest {:#018x} != pinned {:#018x} \
                  (completed {}, {:.1}/h, hiccup streams {})",
                 row.seed,
                 row.scheme,
                 row.faults,
-                row.shards,
                 row.nodes,
                 got,
                 row.expect,

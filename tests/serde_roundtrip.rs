@@ -18,6 +18,33 @@ fn server_config_roundtrips_through_json() {
     assert_eq!(cfg, back);
 }
 
+/// A config saved while `ServerConfig` still had its intra-run sharding
+/// knob loads and runs to the same report bytes as the same config
+/// without the key: deserialization skips unknown keys, so
+/// `trace_dump --config` and `ops_report --config` keep reading old
+/// files.
+#[test]
+fn config_with_a_retired_key_still_loads_and_runs() {
+    const RETIRED_KEY: &str = "parallel_shards";
+    let cfg = ServerConfig::small_test(2, 9);
+    let json = serde_json::to_string(&cfg).unwrap();
+    let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let serde_json::Value::Map(entries) = &mut value else {
+        panic!("a ServerConfig serializes to a JSON object");
+    };
+    entries.push((RETIRED_KEY.to_string(), serde_json::Value::U64(4)));
+    let old_json = serde_json::to_string(&value).unwrap();
+    assert!(
+        old_json.contains(&format!("\"{RETIRED_KEY}\":4")),
+        "{old_json}"
+    );
+    let old: ServerConfig = serde_json::from_str(&old_json).unwrap();
+    assert_eq!(old, cfg);
+    let render =
+        |c: &ServerConfig| serde_json::to_string_pretty(&ss_server::run(c).unwrap()).unwrap();
+    assert_eq!(render(&old), render(&cfg));
+}
+
 #[test]
 fn vdr_config_roundtrips() {
     let cfg = ServerConfig::paper_vdr(16, 10.0, 3);

@@ -1,151 +1,18 @@
 //! Stream-sharing equivalence and invariants.
 //!
-//! Three properties pin the sharing layer down:
+//! Two properties pin the sharing layer down:
 //!
 //! 1. **Off ≡ absent.** A run whose arrivals never overlap produces — with
 //!    sharing armed — a report byte-identical to the unshared run except
 //!    for the `sharing` section itself. The knob is pay-for-what-you-use.
-//! 2. **Serial ≡ sharded with sharing on.** The join decisions live in
-//!    the serial drain and never touch the interval scheduler, so arming
-//!    `parallel_shards` alongside `sharing` keeps the full report
-//!    bit-identical to the serial engine (the PR-6 contract extended).
-//! 3. **Shared bandwidth is viewer-independent.** N arrivals riding one
+//! 2. **Shared bandwidth is viewer-independent.** N arrivals riding one
 //!    stream book exactly the disk bandwidth of one arrival: the
 //!    utilization trace of a 1-viewer run and an N-viewer run of the same
 //!    object are equal, while completions scale with N.
 
-use proptest::prelude::*;
 use staggered_striping::prelude::*;
-use staggered_striping::server::config::{ArrivalModel, MaterializeMode, QueuePolicy, Scheme};
+use staggered_striping::server::config::{ArrivalModel, MaterializeMode, Scheme};
 use staggered_striping::server::vdr::vdr_config_for;
-
-/// A randomized small configuration with sharing armed, plus a shard
-/// count in `{2, 3, 5}`. The axes mirror `parallel_equivalence`'s
-/// strategy with the sharing knob swept instead of held off.
-fn config_strategy() -> impl Strategy<Value = (ServerConfig, u32)> {
-    (
-        1u32..=6,                    // stations
-        0u64..1_000,                 // seed
-        0u8..3,                      // arrival model selector (striping only)
-        prop::bool::ANY,             // VDR?
-        prop::bool::ANY,             // preload
-        0u8..3,                      // queue policy selector
-        (60u64..=240, 300u64..=900), // warmup / measure seconds
-        // fault plan / self-healing (striping only) / shards -> {2,3,5} /
-        // sharing axis: window sweep and a tight-cache variant
-        (0u8..4, 0u8..3, 0u8..3, 0u8..3),
-    )
-        .prop_map(
-            |(
-                stations,
-                seed,
-                arrival,
-                vdr,
-                preload,
-                queue,
-                (warmup, measure),
-                (faults, healing, shard_sel, sharing_sel),
-            )| {
-                let shards = [2u32, 3, 5][shard_sel as usize];
-                let mut c = ServerConfig::small_test(stations, seed);
-                c.warmup = SimDuration::from_secs(warmup);
-                c.measure = SimDuration::from_secs(measure);
-                c.faults = fault_plan(faults, warmup, measure);
-                c.preload = preload;
-                c.verify_delivery = false;
-                c.sharing = Some(match sharing_sel {
-                    0 => SharingConfig::window(2),
-                    1 => SharingConfig::window(6),
-                    _ => SharingConfig {
-                        batch_window: 4,
-                        prefix_intervals: 8,
-                        cache_fragments: 64, // tight: forces evictions
-                    },
-                });
-                c.queue = match queue {
-                    0 => QueuePolicy::Fcfs,
-                    1 => QueuePolicy::SmallestFirst,
-                    _ => QueuePolicy::LargestFirst,
-                };
-                if vdr {
-                    // The VDR baseline runs the closed workload only and
-                    // carries neither parity nor rebuild.
-                    c.scheme = Scheme::Vdr {
-                        vdr: vdr_config_for(&c),
-                    };
-                    c.materialize = MaterializeMode::AfterFull;
-                } else {
-                    match arrival {
-                        1 => {
-                            c.arrivals = ArrivalModel::Open {
-                                rate_per_hour: 60.0 + 45.0 * f64::from(stations),
-                            };
-                        }
-                        2 => {
-                            c.arrivals = ArrivalModel::Trace {
-                                events: (0..12)
-                                    .map(|i| (i * 120_000_000, (i % 10) as u32))
-                                    .collect(),
-                            };
-                        }
-                        _ => {} // closed (the paper's workload)
-                    }
-                    match healing {
-                        1 => c.parity = Some(ParityConfig::group(5)),
-                        2 => {
-                            c.parity = Some(ParityConfig::group(5));
-                            c.rebuild = Some(RebuildConfig::rate(4));
-                        }
-                        _ => {}
-                    }
-                }
-                (c, shards)
-            },
-        )
-}
-
-/// The fault-plan axis, identical to `parallel_equivalence`'s.
-fn fault_plan(selector: u8, warmup: u64, measure: u64) -> FaultPlan {
-    let at = |s: u64| SimTime::from_secs(s);
-    match selector {
-        1 => FaultPlan::fail_window(3, at(warmup + measure / 4), at(warmup + 3 * measure / 4)),
-        2 => {
-            let mut plan =
-                FaultPlan::fail_window(0, at(warmup + measure / 4), at(warmup + measure / 2));
-            plan.events.extend(
-                FaultPlan::fail_window(10, at(warmup), at(warmup + 3 * measure / 4)).events,
-            );
-            plan.drop_after_hiccup_intervals = Some(25);
-            plan
-        }
-        3 => FaultPlan {
-            stochastic: Some(StochasticFaults {
-                mean_time_between_failures: SimDuration::from_secs(measure / 4),
-                mean_time_to_repair: SimDuration::from_secs(measure / 10),
-                slow_fraction: 0.3,
-            }),
-            ..FaultPlan::none()
-        },
-        _ => FaultPlan::none(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The full `RunReport` — sharing section included — is identical
-    /// whether the tick kernel runs serial or sharded.
-    #[test]
-    fn sharing_reports_are_shard_invariant((cfg, shards) in config_strategy()) {
-        let mut serial = cfg.clone();
-        serial.parallel_shards = None;
-        let mut sharded = cfg;
-        sharded.parallel_shards = Some(shards);
-        let a = staggered_striping::server::run(&serial).expect("serial run");
-        let b = staggered_striping::server::run(&sharded).expect("sharded run");
-        prop_assert_eq!(a, b);
-    }
-}
 
 /// A trace whose arrivals never land inside any join window: one arrival
 /// per object, each many intervals apart.
