@@ -16,8 +16,13 @@ use std::hint::black_box;
 
 /// A 1000-disk scheduler with every other 5-disk group committed.
 fn half_busy() -> IntervalScheduler {
-    let mut s = IntervalScheduler::new(VirtualFrame::new(1000, 5));
-    for (id, start) in (0..1000).step_by(10).enumerate() {
+    half_busy_farm(1000)
+}
+
+/// A `disks`-disk scheduler with every other 5-disk group committed.
+fn half_busy_farm(disks: u32) -> IntervalScheduler {
+    let mut s = IntervalScheduler::new(VirtualFrame::new(disks, 5));
+    for (id, start) in (0..disks).step_by(10).enumerate() {
         s.try_admit(
             0,
             ObjectId(id as u32),
@@ -83,9 +88,10 @@ fn bench_admission(c: &mut Criterion) {
     });
 
     g.bench_function("fragmented_reject_saturated", |b| {
-        // Every virtual disk busy beyond the delay window: the sorted
-        // free-horizon index rejects before any candidate enumeration.
-        // This is the hot no-free-slot case at 1000 disks.
+        // Every virtual disk busy beyond the delay window: one rank query
+        // on the always-sorted free-horizon index rejects before any
+        // candidate enumeration. This is the hot no-free-slot case at
+        // 1000 disks.
         let mut s = IntervalScheduler::new(VirtualFrame::new(1000, 5));
         for v in 0..1000 {
             s.set_free_from(v, 100);
@@ -109,8 +115,35 @@ fn bench_admission(c: &mut Criterion) {
     });
 
     g.bench_function("free_count_scan", |b| {
+        // A rank query on the free-horizon index, which every write keeps
+        // sorted: a walk over the block lengths, no rebuild.
         let s = half_busy();
         b.iter(|| black_box(s.free_count(0)))
+    });
+
+    g.bench_function("commit_then_free_count_d100k", |b| {
+        // The per-write price of the always-sorted index at farm scale:
+        // one contiguous grant (five index writes) on a half-busy
+        // 100k-disk farm, then the rank query that reads it. The five
+        // writes that restore the farm for the next iteration are timed
+        // too, so the commit is about half the figure.
+        let mut s = half_busy_farm(100_000);
+        let grant = s
+            .plan(0, ObjectId(999), 5, 5, 3000, AdmissionPolicy::Contiguous)
+            .expect("free aligned group");
+        let before: Vec<u64> = grant
+            .virtual_disks
+            .iter()
+            .map(|&v| s.free_from(v))
+            .collect();
+        b.iter(|| {
+            s.commit(0, &grant, 3000);
+            let free = s.free_count(0);
+            for (&v, &f) in grant.virtual_disks.iter().zip(&before) {
+                s.set_free_from(v, f);
+            }
+            black_box(free)
+        })
     });
 
     g.bench_function("plan_coalesce_scan", |b| {

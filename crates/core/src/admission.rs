@@ -134,19 +134,11 @@ pub struct IntervalScheduler {
     /// both planners and the saturated-reject scan sweep it as contiguous
     /// `u64` words, never through per-disk structs.
     free_from: Vec<u64>,
-    /// Ascending copy of `free_from`, rebuilt when `index_dirty`. Turns
-    /// `free_count` — called on every rejection and every utilization
-    /// sample — into one `O(log D)` partition-point after an `O(D log D)`
-    /// rebuild per mutation batch, instead of an `O(D)` scan per call; at
-    /// 1000 disks with hundreds of waiters retrying per interval that is
-    /// the admission hot path. The rebuild happens eagerly in `&mut`
-    /// methods ([`Self::refresh_index`], called at every `try_admit`
-    /// entry) rather than behind interior mutability; `&self` readers
-    /// that catch it stale fall back to an exact `O(D)` sweep of
-    /// `free_from`.
-    sorted: Vec<u64>,
-    /// True when `free_from` has mutated since `sorted` was rebuilt.
-    index_dirty: bool,
+    /// The same horizons as a sorted multiset, updated on every write
+    /// (see [`Self::set_free_from`]), so `free_count` — called on every rejection
+    /// and every utilization sample — and `earliest_free` are rank and
+    /// select queries on an index that is never stale.
+    index: HorizonIndex,
     /// Known unavailability windows (fault injection). Empty in a
     /// fault-free run, in which case every outage-aware code path below
     /// reduces to the baseline behavior exactly.
@@ -164,9 +156,8 @@ impl IntervalScheduler {
     pub fn new(frame: VirtualFrame) -> Self {
         IntervalScheduler {
             free_from: vec![0; frame.disks() as usize],
-            sorted: vec![0; frame.disks() as usize],
+            index: HorizonIndex::new(frame.disks() as usize),
             frame,
-            index_dirty: false,
             outages: Vec::new(),
             parity_group: None,
         }
@@ -405,42 +396,16 @@ impl IntervalScheduler {
         &self.frame
     }
 
-    /// Marks the sorted index stale after a `free_from` change.
-    fn invalidate_index(&mut self) {
-        self.index_dirty = true;
-    }
-
-    /// Rebuilds the ascending free-horizon index if stale. `try_admit`
-    /// calls this on entry; callers that split admission into
-    /// [`Self::plan`] + [`Self::commit`] call it before planning so the
-    /// planner sees the fast clean-index path.
+    /// Does nothing: the free-horizon index is kept current on every
+    /// write. Kept so callers written against the batch-rebuilt index
+    /// still compile.
     #[inline]
-    pub fn refresh_index(&mut self) {
-        if !self.index_dirty {
-            return;
-        }
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&self.free_from);
-        self.sorted.sort_unstable();
-        self.index_dirty = false;
-    }
-
-    /// Number of free-horizons at or before `t` — the count of virtual
-    /// disks free at `t`. Uses the sorted index when clean, otherwise an
-    /// exact linear sweep of the (contiguous) horizon array.
-    #[inline]
-    fn horizon_count(&self, t: u64) -> u32 {
-        if self.index_dirty {
-            self.free_from.iter().filter(|&&f| f <= t).count() as u32
-        } else {
-            self.sorted.partition_point(|&f| f <= t) as u32
-        }
-    }
+    pub fn refresh_index(&mut self) {}
 
     /// Number of virtual disks free at interval `t`.
     #[inline]
     pub fn free_count(&self, t: u64) -> u32 {
-        self.horizon_count(t)
+        self.index.rank(t) as u32
     }
 
     /// True iff virtual disk `v` is free at interval `t`.
@@ -453,12 +418,18 @@ impl IntervalScheduler {
         self.free_from[v as usize]
     }
 
-    /// Overrides the committed-busy horizon of virtual disk `v`. Used by
-    /// the dynamic-coalescing planner (shortening a handing-over disk,
-    /// extending the taker) and by tests constructing occupancy patterns.
+    /// Overrides the committed-busy horizon of virtual disk `v`: the one
+    /// place `free_from` changes, so the sorted index moves with it. Used
+    /// by [`Self::commit`], by the dynamic-coalescing planner (shortening
+    /// a handing-over disk, extending the taker) and by tests
+    /// constructing occupancy patterns.
     pub fn set_free_from(&mut self, v: u32, free_from: u64) {
-        self.free_from[v as usize] = free_from;
-        self.invalidate_index();
+        let old = std::mem::replace(&mut self.free_from[v as usize], free_from);
+        if old != free_from {
+            // Insert first, so a one-disk index never empties.
+            self.index.insert(free_from);
+            self.index.remove(old);
+        }
     }
 
     /// Attempts to admit a display of `object` at interval `now`: first
@@ -466,10 +437,9 @@ impl IntervalScheduler {
     /// per subobject, `subobjects` stripes. On success the granted virtual
     /// disks are committed through their reading windows.
     ///
-    /// Equivalent to [`Self::refresh_index`] + [`Self::plan`] +
-    /// (on success) [`Self::commit`]; the striping server runs the three
-    /// steps itself so the interconnect gate can sit between the last
-    /// two.
+    /// Equivalent to [`Self::plan`] + (on success) [`Self::commit`]; the
+    /// striping server runs the two steps itself so the interconnect gate
+    /// can sit between them.
     pub fn try_admit(
         &mut self,
         now: u64,
@@ -479,7 +449,6 @@ impl IntervalScheduler {
         subobjects: u32,
         policy: AdmissionPolicy,
     ) -> Result<AdmissionGrant> {
-        self.refresh_index();
         let grant = self.plan(now, object, start_disk, degree, subobjects, policy)?;
         self.commit(now, &grant, subobjects);
         Ok(grant)
@@ -528,15 +497,14 @@ impl IntervalScheduler {
         for (idx, &v) in grant.virtual_disks.iter().enumerate() {
             let end = grant.read_start[idx] + u64::from(subobjects);
             debug_assert!(self.free_from[v as usize] <= grant.read_start[idx]);
-            self.free_from[v as usize] = end;
+            self.set_free_from(v, end);
         }
         // Companions exist only on degraded (aligned) grants: book them
         // over the display's whole reading window, like any other read.
         for &v in &grant.parity_companions {
             debug_assert!(self.free_from[v as usize] <= grant.delivery_start);
-            self.free_from[v as usize] = grant.end_interval;
+            self.set_free_from(v, grant.end_interval);
         }
-        self.invalidate_index();
         if ss_obs::enabled() {
             for (idx, &v) in grant.virtual_disks.iter().enumerate() {
                 ss_obs::record(ss_obs::Event::ReadSpan {
@@ -652,7 +620,7 @@ impl IntervalScheduler {
         // this exact error value, so the shortcut is observably identical
         // — and it makes the saturated-farm retry storm O(log D) per
         // attempt instead of O(M × max_delay).
-        let available = self.horizon_count(window_end);
+        let available = self.free_count(window_end);
         if available < degree {
             return Err(Error::AdmissionRejected {
                 object,
@@ -797,24 +765,119 @@ impl IntervalScheduler {
     /// disks, so before this no admission of degree `m` can succeed).
     /// `None` when `m` exceeds the farm.
     pub fn earliest_free(&self, m: u32) -> Option<u64> {
-        if m == 0 {
-            return Some(0);
+        match m {
+            0 => Some(0),
+            _ => self.index.select(m as usize - 1),
         }
-        let m = m as usize;
-        if self.index_dirty {
-            // Stale-index fallback: the m-th smallest horizon via a
-            // selection pass over a scratch copy. Rare — `try_admit`
-            // refreshes eagerly, so this only fires for read-only
-            // callers racing a mutation batch.
-            if m > self.free_from.len() {
-                return None;
+    }
+}
+
+/// Most values a block of a [`HorizonIndex`] holds, and the capacity it
+/// is allocated with, so blocks never reallocate: a write moves at most
+/// `CAP` words inside one block, and a query walks `O(D / CAP)` block
+/// lengths.
+const CAP: usize = 1024;
+
+/// A block holding `values`, at its full capacity.
+fn block(values: &[u64]) -> Vec<u64> {
+    let mut b = Vec::with_capacity(CAP);
+    b.extend_from_slice(values);
+    b
+}
+
+/// The `D` free horizons as a sorted multiset in blocks: every block is
+/// ascending and no larger than the next block's smallest value, holds
+/// at most `CAP` values, and (but for the last) at least `CAP / 4`.
+/// Insert and remove are a binary search over block maxima plus a
+/// memmove inside one block; rank and select walk the block lengths.
+#[derive(Debug, Clone)]
+struct HorizonIndex {
+    blocks: Vec<Vec<u64>>,
+}
+
+impl HorizonIndex {
+    /// `n` horizons, all zero (an idle farm), in blocks filled to 7/8.
+    fn new(n: usize) -> Self {
+        let nb = n.div_ceil(CAP * 7 / 8);
+        let blocks = (0..nb)
+            .map(|i| block(&vec![0; (i + 1) * n / nb - i * n / nb]))
+            .collect();
+        HorizonIndex { blocks }
+    }
+
+    /// The block that holds (or would hold) `x`: the first whose maximum
+    /// is at least `x`, else the last.
+    fn block_of(&self, x: u64) -> usize {
+        let i = self.blocks.partition_point(|b| b[b.len() - 1] < x);
+        i.min(self.blocks.len() - 1)
+    }
+
+    fn insert(&mut self, x: u64) {
+        let mut i = self.block_of(x);
+        if self.blocks[i].len() == CAP {
+            // Split a full block. A horizon past the end of the last
+            // block (a new booking usually ends after every other) opens
+            // a new block and leaves the full one full; otherwise halve.
+            let last = i + 1 == self.blocks.len() && self.blocks[i][CAP - 1] <= x;
+            let b = &mut self.blocks[i];
+            let cut = if last { CAP } else { CAP / 2 };
+            let tail = block(&b[cut..]);
+            b.truncate(cut);
+            let right = b[cut - 1] <= x;
+            self.blocks.insert(i + 1, tail);
+            i += usize::from(right);
+        }
+        let b = &mut self.blocks[i];
+        let at = b.partition_point(|&y| y < x);
+        b.insert(at, x);
+    }
+
+    /// Removes one copy of `x`, which must be present.
+    fn remove(&mut self, x: u64) {
+        let i = self.block_of(x);
+        let b = &mut self.blocks[i];
+        let at = b.binary_search(&x).expect("horizon is indexed");
+        b.remove(at);
+        if b.len() < CAP / 4 && self.blocks.len() > 1 {
+            // Refill from a neighbour: merge the pair if it fits one
+            // block, else share its values evenly.
+            let j = i.min(self.blocks.len() - 2);
+            let (head, rest) = self.blocks.split_at_mut(j + 1);
+            let (left, right) = (&mut head[j], &mut rest[0]);
+            let half = (left.len() + right.len()) / 2;
+            if left.len() + right.len() <= CAP {
+                left.extend_from_slice(right);
+                self.blocks.remove(j + 1);
+            } else if left.len() < half {
+                left.extend(right.drain(..half - left.len()));
+            } else {
+                let moved: Vec<u64> = left.drain(half..).collect();
+                right.splice(0..0, moved);
             }
-            let mut scratch = self.free_from.clone();
-            let (_, kth, _) = scratch.select_nth_unstable(m - 1);
-            Some(*kth)
-        } else {
-            self.sorted.get(m - 1).copied()
         }
+    }
+
+    /// Number of horizons at or before `t`.
+    fn rank(&self, t: u64) -> usize {
+        let mut n = 0;
+        for b in &self.blocks {
+            if b[b.len() - 1] > t {
+                return n + b.partition_point(|&y| y <= t);
+            }
+            n += b.len();
+        }
+        n
+    }
+
+    /// The `m`-th smallest horizon, counting from zero.
+    fn select(&self, mut m: usize) -> Option<u64> {
+        for b in &self.blocks {
+            if m < b.len() {
+                return Some(b[m]);
+            }
+            m -= b.len();
+        }
+        None
     }
 }
 
@@ -1307,7 +1370,6 @@ mod tests {
         for t in 0..30u64 {
             for start in [0u32, 5, 10, 15] {
                 let a = mono.try_admit(t, ObjectId(start), start, 3, 7, policy);
-                split.refresh_index();
                 let b = split.plan(t, ObjectId(start), start, 3, 7, policy);
                 if let Ok(g) = &b {
                     split.commit(t, g, 7);
@@ -1318,23 +1380,6 @@ mod tests {
         for v in 0..20 {
             assert_eq!(mono.free_from(v), split.free_from(v));
         }
-    }
-
-    #[test]
-    fn stale_index_fallbacks_are_exact() {
-        // `free_count` / `earliest_free` on a dirty index must agree with
-        // the refreshed answers.
-        let mut s = sched(16, 1);
-        for v in 0..16u32 {
-            s.set_free_from(v, u64::from((v * 31) % 11));
-        }
-        let dirty_counts: Vec<u32> = (0..12).map(|t| s.free_count(t)).collect();
-        let dirty_earliest: Vec<Option<u64>> = (0..=17).map(|m| s.earliest_free(m)).collect();
-        s.refresh_index();
-        let clean_counts: Vec<u32> = (0..12).map(|t| s.free_count(t)).collect();
-        let clean_earliest: Vec<Option<u64>> = (0..=17).map(|m| s.earliest_free(m)).collect();
-        assert_eq!(dirty_counts, clean_counts);
-        assert_eq!(dirty_earliest, clean_earliest);
     }
 
     #[test]

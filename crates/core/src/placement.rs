@@ -299,8 +299,11 @@ pub enum PlacementBackend {
 /// caches: counts for a start disk of 0 (other starts are rotations).
 #[derive(Debug, Clone)]
 struct Profile {
-    /// `fragments_per_disk()` of the start-0 layout.
-    counts: Vec<u32>,
+    /// The non-zero entries of the start-0 layout's
+    /// `fragments_per_disk()`, as `(disk, count)` in ascending disk
+    /// order; empty when `uniform` is set. A skewed placement visits only
+    /// these disks.
+    support: Vec<(u32, u32)>,
     /// `Some(c)` iff every disk receives exactly `c` fragments — then
     /// placement is rotation-invariant and commits in O(1).
     uniform: Option<u32>,
@@ -575,7 +578,7 @@ impl PlacementMap {
                 let cylinders = self.cylinders;
                 let cyl_capacity = self.config.fragment / u64::from(cpf);
                 let fragment = self.config.fragment;
-                let profile = state.profile(&cap_layout);
+                let profile = profile_of(&mut state.profiles, &cap_layout);
                 match profile.uniform {
                     Some(c) => {
                         // Rotation-invariant: every disk takes the same
@@ -601,25 +604,33 @@ impl PlacementMap {
                         state.uniform_used += need;
                     }
                     None => {
-                        let counts = profile.counts.clone();
+                        // The support is for start 0; start s shifts it:
+                        // entry (o, c) lands c fragments on (s + o) mod D.
                         let disks = self.config.disks as usize;
                         let start = layout.start_disk as usize;
-                        // counts are for start 0; start s rotates them:
-                        // frags(d) = counts[(d - s) mod D].
-                        let frags_on = |d: usize| counts[(d + disks - start) % disks];
-                        for (d, &skew) in state.skewed_used.iter().enumerate() {
-                            let need = frags_on(d) * cpf;
-                            if state.uniform_used + skew + need > cylinders {
-                                let free = cylinders - state.uniform_used - skew;
-                                return Err(Error::DiskFull {
-                                    disk: DiskId(d as u32),
-                                    requested: fragment * u64::from(frags_on(d)),
-                                    available: cyl_capacity * u64::from(free),
-                                });
-                            }
+                        let on = |o: u32| (start + o as usize) % disks;
+                        // The support wraps, so the first over-full disk
+                        // (the materialized scan's error) is the minimum
+                        // failing index, not the first failing entry.
+                        let full = profile
+                            .support
+                            .iter()
+                            .map(|&(o, c)| (on(o), c))
+                            .filter(|&(d, c)| {
+                                state.uniform_used + state.skewed_used[d] + c * cpf > cylinders
+                            })
+                            .min_by_key(|&(d, _)| d);
+                        if let Some((d, c)) = full {
+                            let free = cylinders - state.uniform_used - state.skewed_used[d];
+                            return Err(Error::DiskFull {
+                                disk: DiskId(d as u32),
+                                requested: fragment * u64::from(c),
+                                available: cyl_capacity * u64::from(free),
+                            });
                         }
-                        for (d, skew) in state.skewed_used.iter_mut().enumerate() {
-                            *skew += frags_on(d) * cpf;
+                        for &(o, c) in &profile.support {
+                            let skew = &mut state.skewed_used[on(o)];
+                            *skew += c * cpf;
                             state.max_skewed_used = state.max_skewed_used.max(*skew);
                         }
                     }
@@ -652,18 +663,23 @@ impl PlacementMap {
                     None => 0,
                 };
                 let cap_layout = layout.with_parity(parity);
-                let profile = state.profile(&cap_layout);
+                let profile = profile_of(&mut state.profiles, &cap_layout);
                 match profile.uniform {
                     Some(c) => state.uniform_used -= c * cpf,
                     None => {
-                        let counts = profile.counts.clone();
                         let disks = self.config.disks as usize;
                         let start = layout.start_disk as usize;
-                        for (d, skew) in state.skewed_used.iter_mut().enumerate() {
-                            *skew -= counts[(d + disks - start) % disks] * cpf;
+                        let mut held_max = false;
+                        for &(o, c) in &profile.support {
+                            let skew = &mut state.skewed_used[(start + o as usize) % disks];
+                            held_max |= *skew == state.max_skewed_used;
+                            *skew -= c * cpf;
                         }
-                        state.max_skewed_used =
-                            state.skewed_used.iter().copied().max().unwrap_or(0);
+                        // Only a refund from a fullest disk can lower the max.
+                        if held_max {
+                            state.max_skewed_used =
+                                state.skewed_used.iter().copied().max().unwrap_or(0);
+                        }
                     }
                 }
             }
@@ -713,31 +729,37 @@ impl PlacementMap {
     }
 }
 
-impl LazyState {
-    /// The cached start-0 fragment profile for `layout`'s
-    /// `(degree, subobjects)` class, computing it on first use.
-    /// `fragments_per_disk` of a start-`s` layout is the start-0 profile
-    /// rotated by `s`, so one O(D·M) computation serves every object of
-    /// the class regardless of where it starts.
-    fn profile(&mut self, layout: &StripingLayout) -> &Profile {
-        let key = (layout.degree, layout.subobjects);
-        self.profiles.entry(key).or_insert_with(|| {
-            let base = StripingLayout::new(
-                layout.object,
-                0,
-                layout.degree,
-                layout.subobjects,
-                layout.disks,
-                layout.stride,
-            );
-            let counts = base.fragments_per_disk();
-            let uniform = match (counts.iter().min(), counts.iter().max()) {
-                (Some(&lo), Some(&hi)) if lo == hi => Some(lo),
-                _ => None,
-            };
-            Profile { counts, uniform }
-        })
-    }
+/// The cached start-0 fragment profile for `layout`'s `(degree,
+/// subobjects)` class, computing it on first use. `fragments_per_disk`
+/// of a start-`s` layout is the start-0 profile rotated by `s`, so one
+/// O(D·M) computation serves every object of the class regardless of
+/// where it starts. A free function over the cache, so callers can hold
+/// the profile while they update the other `LazyState` fields.
+fn profile_of<'a>(
+    profiles: &'a mut HashMap<(u32, u32), Profile>,
+    layout: &StripingLayout,
+) -> &'a Profile {
+    let key = (layout.degree, layout.subobjects);
+    profiles.entry(key).or_insert_with(|| {
+        let base = StripingLayout::new(
+            layout.object,
+            0,
+            layout.degree,
+            layout.subobjects,
+            layout.disks,
+            layout.stride,
+        );
+        let counts = base.fragments_per_disk();
+        let uniform = match (counts.iter().min(), counts.iter().max()) {
+            (Some(&lo), Some(&hi)) if lo == hi => Some(lo),
+            _ => None,
+        };
+        let support = match uniform {
+            Some(_) => Vec::new(),
+            None => (0u32..).zip(counts).filter(|&(_, c)| c > 0).collect(),
+        };
+        Profile { support, uniform }
+    })
 }
 
 #[cfg(test)]

@@ -802,11 +802,10 @@ impl StripingModel {
             // gate (which needs `&mut self` for the router and ledger).
             let subobjects = spec.subobjects;
             let media_degree = spec.degree(self.b_disk);
-            // `refresh_index` + `plan` + `commit` is exactly `try_admit`
-            // (admission.rs), split open so the interconnect gate can run
-            // between the last two. With the tier off the gate passes
-            // every plan through unchanged.
-            self.scheduler.refresh_index();
+            // `plan` + `commit` is exactly `try_admit` (admission.rs),
+            // split open so the interconnect gate can run between them.
+            // With the tier off the gate passes every plan through
+            // unchanged.
             let attempt = self
                 .scheduler
                 .plan(t, w.object, start_disk, degree, subobjects, self.policy)
@@ -1630,12 +1629,6 @@ impl StripingModel {
         self.try_admissions(now);
         self.coalesce_pass(now);
         self.pump_fetches(now);
-        // All mutating passes are done: rebuild the free-horizon index
-        // once so every read-only query until the next mutation — the
-        // utilization/heatmap rows below, `next_wakeup`'s
-        // `earliest_free`, the skipped-boundary replay — takes the
-        // sorted path instead of its exact-but-linear dirty fallback.
-        self.scheduler.refresh_index();
         debug_assert_eq!(
             self.active_viewers,
             self.active

@@ -13,6 +13,32 @@ fn farm_strategy() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, u32)>)> {
     })
 }
 
+/// Asserts that the scheduler's free-horizon index answers `free_count`
+/// for every interval up to one past the latest horizon, and
+/// `earliest_free` for every `m` in `0..=D + 1`, exactly as a brute-force
+/// pass over `free_from` does.
+fn assert_index_exact(sched: &IntervalScheduler) {
+    let d = sched.frame().disks();
+    let horizons: Vec<u64> = (0..d).map(|v| sched.free_from(v)).collect();
+    let top = horizons.iter().copied().max().unwrap_or(0);
+    for t in 0..=top + 1 {
+        let brute = horizons.iter().filter(|&&f| f <= t).count() as u32;
+        assert_eq!(
+            sched.free_count(t),
+            brute,
+            "free_count({t}) over {horizons:?}"
+        );
+    }
+    for m in 0..=d + 1 {
+        let brute = (0..=top).find(|&t| horizons.iter().filter(|&&f| f <= t).count() >= m as usize);
+        assert_eq!(
+            sched.earliest_free(m),
+            brute,
+            "earliest_free({m}) over {horizons:?}"
+        );
+    }
+}
+
 /// Replays a set of grants against an independent occupancy matrix and
 /// asserts no (virtual disk, interval) cell is used twice and that every
 /// read is aligned with its data.
@@ -100,6 +126,46 @@ proptest! {
         check_grants(d, k, &grants);
     }
 
+    /// Every mutation keeps the free-horizon index exact: random
+    /// interleavings of `try_admit` under both policies, split
+    /// `plan` + `commit`, and `set_free_from` on small farms, checked
+    /// against brute force after every step.
+    #[test]
+    fn free_horizon_index_stays_exact(
+        d in 1u32..=40,
+        k in 0u32..41,
+        ops in prop::collection::vec((0u8..4, 0u32..1000, 0u32..1000, 0u32..1000), 1..60),
+    ) {
+        let mut sched = IntervalScheduler::new(VirtualFrame::new(d, k));
+        assert_index_exact(&sched);
+        for (step, &(op, a, b, c)) in ops.iter().enumerate() {
+            let now = step as u64;
+            let start = a % d;
+            let degree = 1 + b % d.min(6);
+            let subobjects = 1 + c % 30;
+            let object = ObjectId(step as u32);
+            match op {
+                0 => {
+                    let _ = sched.try_admit(now, object, start, degree, subobjects, AdmissionPolicy::Contiguous);
+                }
+                1 => {
+                    let policy = AdmissionPolicy::Fragmented {
+                        max_buffer_fragments: 24,
+                        max_delay_intervals: 10,
+                    };
+                    let _ = sched.try_admit(now, object, start, degree, subobjects, policy);
+                }
+                2 => {
+                    if let Ok(g) = sched.plan(now, object, start, degree, subobjects, AdmissionPolicy::Contiguous) {
+                        sched.commit(now, &g, subobjects);
+                    }
+                }
+                _ => sched.set_free_from(start, u64::from(b % 80)),
+            }
+            assert_index_exact(&sched);
+        }
+    }
+
     /// The frame maps are mutually inverse for every (D, k, t).
     #[test]
     fn frame_inverse(d in 1u32..200, k in 0u32..400, t in 0u64..10_000) {
@@ -150,4 +216,60 @@ fn admission_saturates_at_capacity() {
     assert!((sched.utilization(0) - 1.0).abs() < 1e-12);
     // After the displays end, everything frees.
     assert_eq!(sched.free_count(100), 20);
+}
+
+/// Horizons that repeat across the index's internal block boundaries: a
+/// farm several blocks wide whose disks share a handful of values, moved
+/// back and forth so blocks split, merge and rebalance, stays exact
+/// throughout.
+#[test]
+fn repeated_horizons_across_blocks_stay_exact() {
+    let d = 4 * 1024 + 7;
+    let mut sched = IntervalScheduler::new(VirtualFrame::new(d, 1));
+    // All zero: one value repeated across every block.
+    assert_index_exact(&sched);
+    // Bookings past the end fill the last block and open a new one;
+    // freeing the latest refills that small block from its full
+    // neighbour.
+    for v in 0..250 {
+        sched.set_free_from(v, 100 + u64::from(v));
+    }
+    sched.set_free_from(249, 0);
+    assert_index_exact(&sched);
+    // Ascending bookings, each ending after every other: appends past
+    // the last block while the zeros drain from the first.
+    for v in 0..d {
+        sched.set_free_from(v, 1 + u64::from(v) / 700);
+    }
+    assert_index_exact(&sched);
+    // A striped mix of three values, then every other disk to the
+    // middle one.
+    for v in 0..d {
+        sched.set_free_from(v, [1, 2, 3][(v % 3) as usize]);
+    }
+    assert_index_exact(&sched);
+    for v in (0..d).step_by(2) {
+        sched.set_free_from(v, 2);
+    }
+    assert_index_exact(&sched);
+    // Pseudo-random rewrites over four values: heavy split, merge and
+    // rebalance churn.
+    let mut x = 0x9e37_79b9u32;
+    for step in 0..12_000 {
+        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        sched.set_free_from((x >> 8) % d, u64::from(x >> 30));
+        if step % 1000 == 0 {
+            assert_index_exact(&sched);
+        }
+    }
+    assert_index_exact(&sched);
+    // Drain to idle from the top, then from the bottom.
+    for v in (0..d).rev() {
+        sched.set_free_from(v, u64::from(v % 2) * 9);
+    }
+    assert_index_exact(&sched);
+    for v in 0..d {
+        sched.set_free_from(v, 0);
+    }
+    assert_index_exact(&sched);
 }
